@@ -8,9 +8,12 @@
 //               fresh Executor with no plan cache: the pre-prepared-pipeline
 //               behavior (lex + parse + plan every call),
 //   prepared  — SqlGraphStore::Prepare() once, ExecutePrepared() with binds
-//               per call (plan-cache + PlanMemo replay),
+//               per call (plan-cache + PlanMemo replay; the handle stays
+//               valid for the life of the store),
 //   store     — SqlGraphStore::GetOutEdges(), the internal template path
-//               used by the LinkBench driver.
+//               used by the LinkBench driver; its templates are compiled
+//               once when the store is built, so the reported
+//               plan_cache_misses include those compilations.
 //
 //   ./bench_prepared [--objects=20000] [--ops=30000] [--verify=0|1]
 //

@@ -117,20 +117,22 @@ if [[ "${1:-}" != "--fast" ]]; then
   ./build/bench/bench_analytics --quick --check
 
   echo "== plan verification gate (elevated trials + mutation self-tests) =="
-  # The build above is unoptimized (no NDEBUG), so Options::verify_plans /
-  # StoreConfig::verify_plans default ON and every plan in the regular
-  # ctest pass already ran through sql/verify.h. This stage re-runs the
-  # differential harness at an elevated trial count — every random
+  # The build above defaults to Release (NDEBUG), where
+  # Options::verify_plans / StoreConfig::verify_plans default OFF, so this
+  # stage forces verification on. It re-runs the differential harness at
+  # an elevated trial count with SQLGRAPH_VERIFY_PLANS=1 — every random
   # pipeline shape must verify with ZERO false rejections (a rejection
   # fails the oracle comparison) — then proves the verifier actually
   # rejects: each SQLGRAPH_VERIFY_SELFTEST mode plants a known-malformed
-  # plan fragment through the real checkers, and a passing test run under
-  # a plant means the checker went soft.
+  # plan fragment through the real checkers while a test that executes a
+  # well-formed prepared statement with verify_plans forced on runs, and a
+  # passing run under a plant means the checker went soft.
   SQLGRAPH_DIFF_TRIALS=100 SQLGRAPH_VERIFY_PLANS=1 \
     ./build/tests/sqlgraph_tests --gtest_filter='*Differential*'
-  for mode in dangling-column join-key-type stale-epoch; do
+  for mode in dangling-column join-key-type; do
     if SQLGRAPH_VERIFY_SELFTEST="${mode}" ./build/tests/sqlgraph_tests \
-        --gtest_filter='ExecutorTest.SelectConstant' >/dev/null 2>&1; then
+        --gtest_filter='VerifyExecutorTest.PreparedStatementVerifiesExactlyTwice' \
+        >/dev/null 2>&1; then
       echo "verifier failed to reject the '${mode}' planted defect" >&2
       exit 1
     fi

@@ -47,11 +47,11 @@ util::Result<sql::ResultSet> GremlinRuntime::Run(const Pipeline& pipeline) {
                    cache_.GetOrTranslate(translator_, pipeline, &binds));
   auto prepared = store_->Prepare(cached.sql);
   if (!prepared.ok()) {
-    // The rendered text did not survive the parse round trip (a construct
-    // the SQL parser does not accept yet): execute the translated AST
-    // directly. Deterministic per shape, so correctness is unaffected.
-    ASSIGN_OR_RETURN(sql::SqlQuery query, translator_.Translate(pipeline));
-    return store_->Execute(query);
+    // Every translation must reparse (fuzz_gremlin and the differential
+    // harness assert it); a failure here is a translator or parser bug.
+    return util::Status::Internal(
+        "translated SQL for pipeline shape " + PipelineShapeKey(pipeline) +
+        " does not reparse: " + prepared.status().ToString());
   }
   return store_->ExecutePrepared(**prepared, binds);
 }

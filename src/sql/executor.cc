@@ -258,6 +258,17 @@ std::string ItemName(const SelectItem& item, size_t index) {
   return "c" + std::to_string(index);
 }
 
+/// EXPLAIN ANALYZE operator name of a set-operation merge.
+const char* SetOpName(SetOpKind kind) {
+  switch (kind) {
+    case SetOpKind::kUnionAll: return "union all";
+    case SetOpKind::kUnion: return "union";
+    case SetOpKind::kIntersect: return "intersect";
+    case SetOpKind::kExcept: return "except";
+  }
+  return "set op";
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -311,19 +322,12 @@ class Executor::Impl {
       return Status::NotImplemented(
           "recursive CTE must be <base> UNION [ALL] <step>");
     }
-    SelectStmt base = whole;
-    base.set_ops.clear();
     const SelectStmt& step = *whole.set_ops[0].rhs;
 
-    // `base` is a stack-local copy, so its TableRef addresses are not stable
-    // plan-memo keys; the step select aliases the shared AST and is fine.
-    const bool memo_was_enabled = memo_enabled_;
-    memo_enabled_ = false;
-    Result<ResultSet> base_result = ExecSelect(base);
-    memo_enabled_ = memo_was_enabled;
-    if (!base_result.ok()) return base_result.status();
-    ResultSet total = std::move(base_result).value();
-    RETURN_NOT_OK(ApplyCteAliasesForRecursive(cte, &total));
+    // The core select ignores set_ops, so it evaluates just the base.
+    ASSIGN_OR_RETURN(ResultSet total,
+                     ExecSelectCore(whole, /*defer_order_limit=*/false));
+    RETURN_NOT_OK(ApplyCteAliases(cte, &total));
     std::unordered_set<Row, RowHash, RowEq> seen(total.rows.begin(),
                                                  total.rows.end());
     ResultSet delta = total;
@@ -351,10 +355,6 @@ class Executor::Impl {
     return Status::OK();
   }
 
-  Status ApplyCteAliasesForRecursive(const Cte& cte, ResultSet* res) {
-    return ApplyCteAliases(cte, res);
-  }
-
   // ----------------------------------------------------------- SELECT ----
 
   Result<ResultSet> ExecSelect(const SelectStmt& s) {
@@ -368,6 +368,7 @@ class Executor::Impl {
       if (rhs.columns.size() != out.columns.size()) {
         return Status::InvalidArgument("set operation arity mismatch");
       }
+      obs::ScopedSpan span(spans_, context_, SetOpName(set_op.kind));
       switch (set_op.kind) {
         case SetOpKind::kUnionAll:
           for (auto& r : rhs.rows) out.rows.push_back(std::move(r));
@@ -416,6 +417,7 @@ class Executor::Impl {
           break;
         }
       }
+      span.set_rows(out.rows.size());
     }
     if (defer_order_limit) RETURN_NOT_OK(ApplyOrderLimit(s, &out));
     return out;
@@ -582,7 +584,11 @@ class Executor::Impl {
     }
     ResultSet out;
     RETURN_NOT_OK(Project(s, env, ws, ctx, &out));
-    if (s.distinct) Dedupe(&out);
+    if (s.distinct) {
+      obs::ScopedSpan span(spans_, context_, "distinct");
+      Dedupe(&out);
+      span.set_rows(out.rows.size());
+    }
     if (!defer_order_limit) RETURN_NOT_OK(ApplyLimitOffset(s, &out));
     return out;
   }
@@ -2200,11 +2206,9 @@ class Executor::Impl {
   }
 
   /// True when access-path decisions may be recorded into / replayed from
-  /// the prepared query's PlanMemo. Memoization keys on AST node addresses,
-  /// so it must be off for any statement evaluated through a local AST copy
-  /// (the recursive-CTE base select).
+  /// the prepared query's PlanMemo (keyed on shared AST node addresses).
   bool MemoActive() const {
-    return memo_ != nullptr && memo_enabled_ && options_.enable_indexes;
+    return memo_ != nullptr && options_.enable_indexes;
   }
 
   rel::Database* db_;
@@ -2212,7 +2216,6 @@ class Executor::Impl {
   ExecStats* stats_;
   const ParamBindings* params_ = nullptr;
   PlanMemo* memo_ = nullptr;
-  bool memo_enabled_ = true;
   std::map<std::string, ResultSet> ctes_;
   std::string context_ = "query";
   bool index_access_hit_ = false;
@@ -2274,26 +2277,27 @@ std::string PlanCache::NormalizeSql(std::string_view sql_text) {
   return out;
 }
 
+PreparedQueryPtr PreparedQuery::Create(SqlQuery ast) {
+  auto prepared = std::make_shared<PreparedQuery>();
+  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(ast));
+  prepared->memo_ = std::make_shared<PlanMemo>();
+  return prepared;
+}
+
 Result<PreparedQueryPtr> PlanCache::GetOrPrepare(std::string_view sql_text,
-                                                 uint64_t epoch,
                                                  ExecStats* stats) {
   std::string key = NormalizeSql(sql_text);
   {
     util::MutexLock guard(&mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      if (it->second.prepared->schema_epoch() == epoch) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        ++hits_;
-        if (stats != nullptr) ++stats->plan_cache_hits;
-        static obs::Counter* hit_counter =
-            obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.hits");
-        hit_counter->Increment();
-        return it->second.prepared;
-      }
-      // Compiled under an older schema epoch: evict and re-prepare.
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      ++hits_;
+      if (stats != nullptr) ++stats->plan_cache_hits;
+      static obs::Counter* hit_counter =
+          obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.hits");
+      hit_counter->Increment();
+      return it->second.prepared;
     }
     ++misses_;
     static obs::Counter* miss_counter =
@@ -2310,24 +2314,14 @@ Result<PreparedQueryPtr> PlanCache::GetOrPrepare(std::string_view sql_text,
     stats->prepare_ns += elapsed;
   }
   if (!parsed.ok()) return parsed.status();
-
-  auto prepared = std::make_shared<PreparedQuery>();
-  prepared->sql_ = key;
-  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(parsed).value());
-  prepared->memo_ = std::make_shared<PlanMemo>();
-  prepared->epoch_ = epoch;
-  PreparedQueryPtr result = prepared;
+  PreparedQueryPtr result = PreparedQuery::Create(std::move(parsed).value());
 
   util::MutexLock guard(&mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    if (it->second.prepared->schema_epoch() == epoch) {
-      // Another thread prepared the same statement concurrently; share its
-      // entry so the memo fills in once.
-      return it->second.prepared;
-    }
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
+    // Another thread prepared the same statement concurrently; share its
+    // entry so the memo fills in once.
+    return it->second.prepared;
   }
   lru_.push_front(key);
   entries_.emplace(std::move(key), Entry{lru_.begin(), result});
@@ -2336,12 +2330,6 @@ Result<PreparedQueryPtr> PlanCache::GetOrPrepare(std::string_view sql_text,
     lru_.pop_back();
   }
   return result;
-}
-
-void PlanCache::Clear() {
-  util::MutexLock guard(&mu_);
-  entries_.clear();
-  lru_.clear();
 }
 
 size_t PlanCache::size() const {
@@ -2409,7 +2397,7 @@ Result<ResultSet> Executor::Execute(const SqlQuery& query) {
 
 Result<PreparedQueryPtr> Executor::Prepare(std::string_view sql_text) {
   if (plan_cache_ != nullptr) {
-    return plan_cache_->GetOrPrepare(sql_text, schema_epoch_, &stats_);
+    return plan_cache_->GetOrPrepare(sql_text, &stats_);
   }
   // One-off prepared statement without a shared cache.
   const auto start = std::chrono::steady_clock::now();
@@ -2417,33 +2405,11 @@ Result<PreparedQueryPtr> Executor::Prepare(std::string_view sql_text) {
   stats_.prepare_ns += ElapsedNs(start);
   ++stats_.plan_cache_misses;
   if (!parsed.ok()) return parsed.status();
-  auto prepared = std::make_shared<PreparedQuery>();
-  prepared->sql_ = PlanCache::NormalizeSql(sql_text);
-  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(parsed).value());
-  prepared->memo_ = std::make_shared<PlanMemo>();
-  prepared->epoch_ = schema_epoch_;
-  return PreparedQueryPtr(prepared);
+  return PreparedQuery::Create(std::move(parsed).value());
 }
 
 Result<ResultSet> Executor::ExecutePrepared(const PreparedQuery& prepared,
                                             const ParamBindings& params) {
-  if (prepared.schema_epoch() != schema_epoch_) {
-    if (plan_cache_ != nullptr) {
-      // Stale handle: re-prepare through the cache (counted as a miss there).
-      ASSIGN_OR_RETURN(PreparedQueryPtr fresh, Prepare(prepared.sql()));
-      return ExecuteWithParams(fresh->query(), &params, fresh->memo());
-    }
-    if (options_.verify_plans) {
-      // No cache to re-prepare through: replaying the stale memo would
-      // silently use access paths chosen for a different schema. Reject
-      // statically instead.
-      PlanVerifyReport report;
-      VerifyMemoEpoch(prepared.schema_epoch(), schema_epoch_, &report);
-      ++stats_.plans_verified;
-      ++stats_.plan_verify_rejections;
-      return report.ToStatus();
-    }
-  }
   ++stats_.plan_cache_hits;
   return ExecuteWithParams(prepared.query(), &params, prepared.memo());
 }

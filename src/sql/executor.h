@@ -19,7 +19,10 @@
 // access-path decisions on first execution; ExecutePrepared() replays them
 // with fresh bind values, skipping lex/parse/plan. A PlanCache (LRU keyed by
 // normalized SQL text) shares PreparedQuery instances across Executor
-// instances; entries are invalidated by schema-epoch mismatch.
+// instances. A compiled statement depends only on its text and the index
+// catalog, so row rewrites (adjacency reshapes, spill rows, compaction)
+// never invalidate it; a memoized index that has since been dropped re-plans
+// that table ref (see PlanMemo).
 
 #ifndef SQLGRAPH_SQL_EXECUTOR_H_
 #define SQLGRAPH_SQL_EXECUTOR_H_
@@ -75,48 +78,37 @@ struct ExecStats {
 
 class PlanMemo;
 
-/// An immutable compiled statement: normalized SQL text, shared parsed AST,
-/// and the memoized access-path decisions. Thread-safe to execute
-/// concurrently; the memo fills in on first execution.
+/// An immutable compiled statement: shared parsed AST and the memoized
+/// access-path decisions. Thread-safe to execute concurrently; the memo
+/// fills in on first execution.
 class PreparedQuery {
  public:
-  const std::string& sql() const { return sql_; }
   const SqlQuery& query() const { return *ast_; }
   int param_count() const { return ast_->num_params; }
-  /// Schema epoch the plan was compiled under (see PlanCache).
-  uint64_t schema_epoch() const { return epoch_; }
   PlanMemo* memo() const { return memo_.get(); }
 
  private:
   friend class Executor;
   friend class PlanCache;
-  std::string sql_;
+  static std::shared_ptr<const PreparedQuery> Create(SqlQuery ast);
   std::shared_ptr<const SqlQuery> ast_;
   std::shared_ptr<PlanMemo> memo_;
-  uint64_t epoch_ = 0;
 };
 
 using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 
 /// Thread-safe LRU cache of PreparedQuery instances keyed by
-/// whitespace-normalized SQL text. Entries carry the schema epoch they were
-/// compiled under; a lookup with a different epoch evicts and re-prepares,
-/// which is how DDL-equivalent store events (spill-row creation, Compact)
-/// invalidate stale plans.
+/// whitespace-normalized SQL text. Entries live until LRU eviction; no
+/// store mutation invalidates them.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
 
-  /// Returns the cached statement for `sql_text` at `epoch`, parsing and
-  /// inserting on miss. Counts hits/misses both internally and, when
-  /// `stats` is non-null, into the caller's ExecStats.
+  /// Returns the cached statement for `sql_text`, parsing and inserting on
+  /// miss. Counts hits/misses both internally and, when `stats` is
+  /// non-null, into the caller's ExecStats.
   util::Result<PreparedQueryPtr> GetOrPrepare(std::string_view sql_text,
-                                              uint64_t epoch,
                                               ExecStats* stats);
-
-  /// Drops every cached plan (coarse invalidation; epoch mismatch already
-  /// handles the incremental case).
-  void Clear();
 
   size_t size() const;
   uint64_t hits() const;
@@ -178,13 +170,9 @@ class Executor {
   explicit Executor(rel::Database* db) : db_(db) {}
   Executor(rel::Database* db, Options options) : db_(db), options_(options) {}
 
-  /// Attaches a shared plan cache (not owned). `schema_epoch` stamps plans
-  /// prepared through this executor; ExecuteSql() then routes through the
-  /// cache, and ExecutePrepared() re-prepares stale handles transparently.
-  void set_plan_cache(PlanCache* cache, uint64_t schema_epoch) {
-    plan_cache_ = cache;
-    schema_epoch_ = schema_epoch;
-  }
+  /// Attaches a shared plan cache (not owned); Prepare() and ExecuteSql()
+  /// then route through it.
+  void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
   /// Executes a full query (CTEs + final select).
   util::Result<ResultSet> Execute(const SqlQuery& query);
@@ -197,8 +185,7 @@ class Executor {
   /// when one is attached).
   util::Result<PreparedQueryPtr> Prepare(std::string_view sql_text);
 
-  /// Executes a prepared statement with the given bind values. A handle
-  /// compiled under an older schema epoch is re-prepared first.
+  /// Executes a prepared statement with the given bind values.
   util::Result<ResultSet> ExecutePrepared(const PreparedQuery& prepared,
                                           const ParamBindings& params);
 
@@ -218,7 +205,6 @@ class Executor {
   Options options_;
   ExecStats stats_;
   PlanCache* plan_cache_ = nullptr;
-  uint64_t schema_epoch_ = 0;
 };
 
 }  // namespace sql

@@ -1088,15 +1088,6 @@ void VerifyMemo(const SqlQuery& query, const rel::Database& db,
   }
 }
 
-void VerifyMemoEpoch(uint64_t plan_epoch, uint64_t current_epoch,
-                     PlanVerifyReport* report) {
-  if (plan_epoch == current_epoch) return;
-  report->Add(VerifyCheck::kMemoReplay, "prepared", "memo",
-              "plan compiled at schema epoch " + std::to_string(plan_epoch) +
-                  " cannot replay at epoch " + std::to_string(current_epoch) +
-                  "; re-prepare the statement");
-}
-
 void VerifyCteAttribution(
     const SqlQuery& query,
     const std::vector<std::pair<std::string, std::vector<std::string>>>& pipes,
@@ -1169,8 +1160,6 @@ VerifySelfTest VerifySelfTestMode() {
         mode = static_cast<int>(VerifySelfTest::kDanglingColumn);
       } else if (std::strcmp(env, "join-key-type") == 0) {
         mode = static_cast<int>(VerifySelfTest::kTypeConfusedJoinKey);
-      } else if (std::strcmp(env, "stale-epoch") == 0) {
-        mode = static_cast<int>(VerifySelfTest::kStaleEpochMemo);
       }
     }
     g_selftest_mode.store(mode, std::memory_order_relaxed);
@@ -1214,10 +1203,6 @@ void AddVerifySelfTestPlants(PlanVerifyReport* report) {
       VerifyPlan(q, EmptyDatabase(), report);
       return;
     }
-    case VerifySelfTest::kStaleEpochMemo:
-      // A memo recorded at epoch 1 replayed against epoch 2.
-      VerifyMemoEpoch(1, 2, report);
-      return;
   }
 }
 

@@ -31,8 +31,7 @@
 //   kMemoReplay         a PlanMemo entry replays against the database it was
 //                       recorded on: memoized indexes exist with matching
 //                       key arity, selection bitmaps match the conjunct
-//                       count they were recorded for, and a memo recorded
-//                       under one schema epoch is rejected under another.
+//                       count they were recorded for.
 //   kPipeAttribution    every CTE of a Gremlin translation maps back to
 //                       exactly one source pipe (gremlin/runtime.cc feeds
 //                       the attribution in; this layer never sees pipes).
@@ -116,14 +115,6 @@ PlanVerifyReport VerifyPlan(const SqlQuery& query, const rel::Database& db);
 void VerifyMemo(const SqlQuery& query, const rel::Database& db,
                 const PlanMemo& memo, PlanVerifyReport* report);
 
-/// Statically rejects replaying a plan compiled under `plan_epoch` against
-/// a database at `current_epoch` (kMemoReplay). The plan-cache path
-/// re-prepares stale handles instead; this guards the cache-less
-/// ExecutePrepared path, which would otherwise replay the stale memo
-/// silently.
-void VerifyMemoEpoch(uint64_t plan_epoch, uint64_t current_epoch,
-                     PlanVerifyReport* report);
-
 /// Gremlin pipe-attribution completeness: every CTE of `query` appears in
 /// exactly one pipe's CTE list, and every attributed CTE exists. `pipes` is
 /// (pipe name, CTE names) — the gremlin layer flattens its PipeAttribution
@@ -142,8 +133,6 @@ void VerifyCteAttribution(
 //                                              column no input produces
 //   SQLGRAPH_VERIFY_SELFTEST=join-key-type     an equi-join key comparing
 //                                              an int column with a string
-//   SQLGRAPH_VERIFY_SELFTEST=stale-epoch       a memo replayed one schema
-//                                              epoch after it was recorded
 //
 // The plants are synthetic plan fragments checked by the same walkers as
 // real queries, so a silently weakened checker fails CI.
@@ -152,7 +141,6 @@ enum class VerifySelfTest {
   kNone = 0,
   kDanglingColumn,
   kTypeConfusedJoinKey,
-  kStaleEpochMemo,
 };
 
 /// Lazily parsed from SQLGRAPH_VERIFY_SELFTEST (unset/unknown → kNone).

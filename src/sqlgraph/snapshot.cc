@@ -365,6 +365,7 @@ Result<std::unique_ptr<SqlGraphStore>> OpenSnapshot(const std::string& path,
   }
   // Rebuild the Fig. 5 index set (plus configured attribute indexes).
   RETURN_NOT_OK(store->schema_.CreateIndexes(&store->db_, config));
+  RETURN_NOT_OK(store->CompileTemplates());
   return store;
 }
 

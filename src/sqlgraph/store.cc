@@ -242,6 +242,7 @@ Result<std::unique_ptr<SqlGraphStore>> SqlGraphStore::Build(
                             &store->next_lid_));
   store->next_vertex_id_ = static_cast<int64_t>(graph.NumVertices());
   store->next_edge_id_ = static_cast<int64_t>(graph.NumEdges());
+  RETURN_NOT_OK(store->CompileTemplates());
   return store;
 }
 
@@ -482,8 +483,8 @@ Status SqlGraphStore::AddAdjacencyEntry(bool outgoing, VertexId vid,
                    version_ts)
           .status();
     }
-    // Single-valued → convert to a list: a DDL-equivalent reshaping of the
-    // adjacency storage, so cached plans must revalidate.
+    // Single-valued → convert to a list: a reshaping of the adjacency
+    // storage, counted as a schema-epoch bump.
     int64_t lid;
     {
       util::WriterMutexLock counter(&counter_lock_);
@@ -836,9 +837,7 @@ Result<std::optional<EdgeId>> SqlGraphStore::FindEdge(
   binds.positional.emplace_back(static_cast<int64_t>(dst));
   ASSIGN_OR_RETURN(
       sql::ResultSet rs,
-      RunTemplate(kTplFindEdge,
-                  "SELECT EID FROM EA WHERE INV = ? AND LBL = ? AND OUTV = ?",
-                  std::move(binds)));
+      RunTemplate(kTplFindEdge, std::move(binds)));
   if (rs.rows.empty()) return std::optional<EdgeId>();
   return std::optional<EdgeId>(static_cast<EdgeId>(rs.rows[0][0].AsInt()));
 }
@@ -870,17 +869,11 @@ Result<std::vector<EdgeRecord>> SqlGraphStore::GetOutEdgesAt(
   sql::ResultSet rs;
   if (label.empty()) {
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutEdgesAny,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
-                        "WHERE INV = ?",
-                        std::move(binds), read_ts));
+        rs, RunTemplate(kTplOutEdgesAny, std::move(binds), read_ts));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutEdgesLbl,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
-                        "WHERE INV = ? AND LBL = ?",
-                        std::move(binds), read_ts));
+        rs, RunTemplate(kTplOutEdgesLbl, std::move(binds), read_ts));
   }
   return RowsToEdgeRecords(rs);
 }
@@ -898,17 +891,11 @@ Result<std::vector<EdgeRecord>> SqlGraphStore::GetInEdgesAt(
   sql::ResultSet rs;
   if (label.empty()) {
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInEdgesAny,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
-                        "WHERE OUTV = ?",
-                        std::move(binds), read_ts));
+        rs, RunTemplate(kTplInEdgesAny, std::move(binds), read_ts));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInEdgesLbl,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
-                        "WHERE OUTV = ? AND LBL = ?",
-                        std::move(binds), read_ts));
+        rs, RunTemplate(kTplInEdgesLbl, std::move(binds), read_ts));
   }
   return RowsToEdgeRecords(rs);
 }
@@ -919,9 +906,7 @@ Result<json::JsonValue> SqlGraphStore::GetVertexAt(int64_t vid,
   sql::ParamBindings binds;
   binds.positional.emplace_back(vid);
   ASSIGN_OR_RETURN(sql::ResultSet rs,
-                   RunTemplate(kTplGetVertex,
-                               "SELECT VID, ATTR FROM VA WHERE VID = ?",
-                               std::move(binds), read_ts));
+                   RunTemplate(kTplGetVertex, std::move(binds), read_ts));
   if (rs.rows.empty()) {
     return Status::NotFound("vertex " + std::to_string(vid));
   }
@@ -936,9 +921,7 @@ Result<EdgeRecord> SqlGraphStore::GetEdgeAt(int64_t eid,
   binds.positional.emplace_back(eid);
   ASSIGN_OR_RETURN(
       sql::ResultSet rs,
-      RunTemplate(kTplGetEdge,
-                  "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE EID = ?",
-                  std::move(binds), read_ts));
+      RunTemplate(kTplGetEdge, std::move(binds), read_ts));
   if (rs.rows.empty()) {
     return Status::NotFound("edge " + std::to_string(eid));
   }
@@ -952,16 +935,10 @@ Result<int64_t> SqlGraphStore::CountOutEdges(VertexId src,
   binds.positional.emplace_back(static_cast<int64_t>(src));
   sql::ResultSet rs;
   if (label.empty()) {
-    ASSIGN_OR_RETURN(rs,
-                     RunTemplate(kTplCountAny,
-                                 "SELECT COUNT(*) FROM EA WHERE INV = ?",
-                                 std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplCountAny, std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
-    ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplCountLbl,
-                        "SELECT COUNT(*) FROM EA WHERE INV = ? AND LBL = ?",
-                        std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplCountLbl, std::move(binds)));
   }
   if (rs.rows.empty()) return int64_t{0};
   return rs.rows[0][0].AsInt();
@@ -974,15 +951,10 @@ Result<std::vector<VertexId>> SqlGraphStore::Out(
   binds.positional.emplace_back(static_cast<int64_t>(vid));
   sql::ResultSet rs;
   if (label.empty()) {
-    ASSIGN_OR_RETURN(rs, RunTemplate(kTplOutAny,
-                                     "SELECT OUTV FROM EA WHERE INV = ?",
-                                     std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplOutAny, std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
-    ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutLbl,
-                        "SELECT OUTV FROM EA WHERE INV = ? AND LBL = ?",
-                        std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplOutLbl, std::move(binds)));
   }
   std::vector<VertexId> out;
   out.reserve(rs.rows.size());
@@ -999,15 +971,10 @@ Result<std::vector<VertexId>> SqlGraphStore::In(
   binds.positional.emplace_back(static_cast<int64_t>(vid));
   sql::ResultSet rs;
   if (label.empty()) {
-    ASSIGN_OR_RETURN(rs, RunTemplate(kTplInAny,
-                                     "SELECT INV FROM EA WHERE OUTV = ?",
-                                     std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplInAny, std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
-    ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInLbl,
-                        "SELECT INV FROM EA WHERE OUTV = ? AND LBL = ?",
-                        std::move(binds)));
+    ASSIGN_OR_RETURN(rs, RunTemplate(kTplInLbl, std::move(binds)));
   }
   std::vector<VertexId> out;
   out.reserve(rs.rows.size());
@@ -1071,7 +1038,7 @@ Result<sql::ResultSet> SqlGraphStore::ExecuteSqlInternal(
   const bool analyze = StripExplainAnalyzePrefix(&body);
   ReadLockAll lock(this);
   sql::Executor exec(&db_, ExecOptionsFor(config_, read_ts));
-  exec.set_plan_cache(&plan_cache_, schema_epoch());
+  exec.set_plan_cache(&plan_cache_);
   exec.set_analyze(analyze);
   auto result = exec.ExecuteSql(body);
   if (stats != nullptr) *stats = exec.stats();
@@ -1113,7 +1080,7 @@ Result<sql::ResultSet> SqlGraphStore::ExecuteAnalyze(const sql::SqlQuery& query,
 Result<sql::PreparedQueryPtr> SqlGraphStore::Prepare(
     std::string_view text) const {
   // Parsing touches no tables: no locks needed.
-  return plan_cache_.GetOrPrepare(text, schema_epoch(), nullptr);
+  return plan_cache_.GetOrPrepare(text, nullptr);
 }
 
 Result<sql::ResultSet> SqlGraphStore::ExecutePrepared(
@@ -1121,7 +1088,6 @@ Result<sql::ResultSet> SqlGraphStore::ExecutePrepared(
     sql::ExecStats* stats) const {
   ReadLockAll lock(const_cast<SqlGraphStore*>(this));
   sql::Executor exec(const_cast<rel::Database*>(&db_), ExecOptionsFor(config_));
-  exec.set_plan_cache(&plan_cache_, schema_epoch());
   auto result = exec.ExecutePrepared(prepared, params);
   if (stats != nullptr) *stats = exec.stats();
   {
@@ -1136,27 +1102,42 @@ sql::ExecStats SqlGraphStore::last_exec_stats() const {
   return last_stats_;
 }
 
-Result<sql::ResultSet> SqlGraphStore::RunTemplate(
-    TemplateId id, const char* text, sql::ParamBindings params,
-    uint64_t read_ts) const {
-  const uint64_t epoch = schema_epoch();
-  sql::PreparedQueryPtr prepared;
-  {
-    util::MutexLock guard(&tpl_mu_);
-    prepared = templates_[id];
-    if (prepared == nullptr || prepared->schema_epoch() != epoch) {
-      // (Re-)compile through the shared plan cache; self-heals after any
-      // schema-epoch bump.
-      auto compiled = plan_cache_.GetOrPrepare(text, epoch, nullptr);
-      if (!compiled.ok()) return compiled.status();
-      prepared = std::move(compiled).value();
-      templates_[id] = prepared;
-    }
+Status SqlGraphStore::CompileTemplates() {
+  // Indexed by TemplateId.
+  static constexpr const char* kTemplateSql[kNumTemplates] = {
+      // kTplOutEdgesAny, kTplOutEdgesLbl
+      "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE INV = ?",
+      "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE INV = ? AND LBL = ?",
+      // kTplCountAny, kTplCountLbl
+      "SELECT COUNT(*) FROM EA WHERE INV = ?",
+      "SELECT COUNT(*) FROM EA WHERE INV = ? AND LBL = ?",
+      // kTplOutAny, kTplOutLbl, kTplInAny, kTplInLbl
+      "SELECT OUTV FROM EA WHERE INV = ?",
+      "SELECT OUTV FROM EA WHERE INV = ? AND LBL = ?",
+      "SELECT INV FROM EA WHERE OUTV = ?",
+      "SELECT INV FROM EA WHERE OUTV = ? AND LBL = ?",
+      // kTplFindEdge
+      "SELECT EID FROM EA WHERE INV = ? AND LBL = ? AND OUTV = ?",
+      // kTplInEdgesAny, kTplInEdgesLbl
+      "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE OUTV = ?",
+      "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE OUTV = ? AND LBL = ?",
+      // kTplGetVertex, kTplGetEdge
+      "SELECT VID, ATTR FROM VA WHERE VID = ?",
+      "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE EID = ?",
+  };
+  for (int id = 0; id < kNumTemplates; ++id) {
+    ASSIGN_OR_RETURN(templates_[id],
+                     plan_cache_.GetOrPrepare(kTemplateSql[id], nullptr));
   }
+  return Status::OK();
+}
+
+Result<sql::ResultSet> SqlGraphStore::RunTemplate(TemplateId id,
+                                                  sql::ParamBindings params,
+                                                  uint64_t read_ts) const {
   sql::Executor exec(const_cast<rel::Database*>(&db_),
                      ExecOptionsFor(config_, read_ts));
-  exec.set_plan_cache(&plan_cache_, epoch);
-  return exec.ExecutePrepared(*prepared, params);
+  return exec.ExecutePrepared(*templates_[id], params);
 }
 
 // ------------------------------------------------------------ maintenance --

@@ -156,8 +156,9 @@ class SqlGraphStore {
   /// Compiles SQL text (with `?` / `:name` bind parameters) through the
   /// store's plan cache into a reusable statement.
   util::Result<sql::PreparedQueryPtr> Prepare(std::string_view text) const;
-  /// Executes a prepared statement with bind values. A handle compiled under
-  /// an older schema epoch is transparently re-prepared.
+  /// Executes a prepared statement with bind values. Handles stay valid for
+  /// the life of the store: no mutation, Compact() included, invalidates
+  /// them.
   util::Result<sql::ResultSet> ExecutePrepared(
       const sql::PreparedQuery& prepared, const sql::ParamBindings& params,
       sql::ExecStats* stats = nullptr) const;
@@ -168,9 +169,10 @@ class SqlGraphStore {
   /// `stats` out-parameters when racing queries need attribution.
   sql::ExecStats last_exec_stats() const;
 
-  /// Monotonic DDL-equivalent event counter: bumped when adjacency storage
-  /// changes shape (single→list conversion, new label triad, spill row) and
-  /// by Compact(). Cached plans from older epochs re-prepare on next use.
+  /// Monotonic shape-change counter: bumped when adjacency storage changes
+  /// shape (single→list conversion, new label triad, spill row) and by
+  /// Compact(). These events only rewrite rows, so compiled plans survive
+  /// them; the counter is observability only.
   uint64_t schema_epoch() const {
     return schema_epoch_.load(std::memory_order_acquire);
   }
@@ -388,7 +390,7 @@ class SqlGraphStore {
                                                   sql::ExecStats* stats);
 
   // Prepared adjacency templates over EA (the §3.5 combined-index fast
-  // path); compiled lazily, self-healing on schema-epoch change.
+  // path); compiled once by CompileTemplates() in the store factories.
   enum TemplateId {
     kTplOutEdgesAny = 0,
     kTplOutEdgesLbl,
@@ -410,9 +412,12 @@ class SqlGraphStore {
   /// only EA, except kTplGetVertex which reads VA). Does not update
   /// last_stats_ — adjacency calls are the hot path and never carried stats
   /// before. A non-zero `read_ts` pins the execution to that MVCC snapshot.
-  util::Result<sql::ResultSet> RunTemplate(TemplateId id, const char* text,
+  util::Result<sql::ResultSet> RunTemplate(TemplateId id,
                                            sql::ParamBindings params,
                                            uint64_t read_ts = 0) const;
+  /// Compiles every template into templates_; called once by Build and
+  /// OpenSnapshot before the store is returned.
+  util::Status CompileTemplates();
   void BumpSchemaEpoch() {
     schema_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -462,9 +467,8 @@ class SqlGraphStore {
   std::atomic<uint64_t> schema_epoch_{0};
   mutable util::Mutex stats_mu_{util::LockRank::kStoreStats, "store_stats"};
   mutable sql::ExecStats last_stats_ GUARDED_BY(stats_mu_);
-  mutable util::Mutex tpl_mu_{util::LockRank::kStoreTemplates,
-                              "store_templates"};
-  mutable sql::PreparedQueryPtr templates_[kNumTemplates] GUARDED_BY(tpl_mu_);
+  // Written once before the store is shared, read-only afterwards.
+  sql::PreparedQueryPtr templates_[kNumTemplates];
 
   // ---- MVCC transaction state (DESIGN.md §12) ---------------------------
   // Last assigned commit timestamp. Starts at 1 (the bulk load is "commit

@@ -36,8 +36,6 @@
 //                      nothing it is ever held with
 //   kBufferPool        rel::BufferPool::mu_ — page decode during scans that
 //                      already hold table locks
-//   kStoreTemplates    SqlGraphStore::tpl_mu_ — compiles through the plan
-//                      cache, so it must rank below it
 //   kTranslationCache  gremlin::TranslationCache::mu_
 //   kPlanCache         sql::PlanCache::mu_
 //   kPlanMemo          sql::PlanMemo::mu_ (leaf; plain map accessors)
@@ -73,7 +71,6 @@ enum class LockRank : int {
   kTxnManager = 35,
   kWalWriter = 40,
   kBufferPool = 50,
-  kStoreTemplates = 60,
   kTranslationCache = 70,
   kPlanCache = 80,
   kPlanMemo = 85,

@@ -268,6 +268,22 @@ TEST(ExplainAnalyzeTest, SqlPrefixReturnsOperatorRows) {
   EXPECT_TRUE(saw_scan);
 }
 
+TEST(ExplainAnalyzeTest, DistinctAndSetOpRecordSpans) {
+  auto store = SqlGraphStore::Build(HubGraph(5));
+  ASSERT_TRUE(store.ok());
+  auto r = (*store)->ExecuteSql(
+      "explain analyze SELECT DISTINCT LBL FROM EA UNION SELECT LBL FROM EA");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int64_t distinct_rows = -1, union_rows = -1;
+  for (const auto& row : r->rows) {
+    if (row[1].AsString() == "distinct") distinct_rows = row[2].AsInt();
+    if (row[1].AsString() == "union") union_rows = row[2].AsInt();
+  }
+  // Five "rel" edges collapse to one label, on both sides of the UNION.
+  EXPECT_EQ(distinct_rows, 1);
+  EXPECT_EQ(union_rows, 1);
+}
+
 TEST(ExplainAnalyzeTest, GremlinAttributesOperatorsToEveryTable8Pipe) {
   StoreConfig config;
   config.va_hash_indexes = {"kind"};

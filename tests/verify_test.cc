@@ -292,18 +292,6 @@ TEST_F(VerifyPlanTest, RejectsRecursiveCteStepArityMismatch) {
               VerifyCheck::kOperatorInvariant, "step arity");
 }
 
-// ------------------------------------------------------------ memo epoch ----
-
-TEST(VerifyMemoEpochTest, StaleEpochIsRejectedWithBothEpochs) {
-  PlanVerifyReport report;
-  VerifyMemoEpoch(3, 7, &report);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.issues[0].check, VerifyCheck::kMemoReplay);
-  EXPECT_NE(report.issues[0].message.find("schema epoch 3"),
-            std::string::npos);
-  EXPECT_NE(report.issues[0].message.find("epoch 7"), std::string::npos);
-}
-
 // ------------------------------------------------------ pipe attribution ----
 
 class VerifyAttributionTest : public ::testing::Test {
@@ -427,16 +415,6 @@ TEST_F(VerifySelfTestTest, TypeConfusedJoinKeyPlantIsRejected) {
   const std::string all = report.ToString();
   EXPECT_NE(all.find("[type-soundness]"), std::string::npos) << all;
   EXPECT_NE(all.find("equality can never match"), std::string::npos) << all;
-}
-
-TEST_F(VerifySelfTestTest, StaleEpochMemoPlantIsRejected) {
-  SetVerifySelfTestModeForTest(VerifySelfTest::kStaleEpochMemo);
-  PlanVerifyReport report;
-  AddVerifySelfTestPlants(&report);
-  ASSERT_FALSE(report.ok());
-  const std::string all = report.ToString();
-  EXPECT_NE(all.find("[memo-replay]"), std::string::npos) << all;
-  EXPECT_NE(all.find("schema epoch"), std::string::npos) << all;
 }
 
 TEST_F(VerifySelfTestTest, PlantFailsARealExecution) {
