@@ -74,39 +74,49 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   echo "== metrics overhead guard (budget: 5% on micro-op read paths) =="
   # Same read-path benchmarks with the registry enabled vs disabled; the
-  # sharded relaxed-atomic hot path must stay within budget. Medians over
-  # repeated runs absorb scheduler noise; the budget applies to the mean of
-  # the per-benchmark median ratios (single-benchmark jitter on shared CI
-  # machines exceeds the real per-op cost by an order of magnitude).
+  # sharded relaxed-atomic hot path must stay within budget. On and off
+  # runs alternate for 9 rounds (which setting goes first flips every
+  # round), so host drift lands on both sides of a round instead of
+  # reading as overhead. Each benchmark's on/off ratio is taken per round
+  # and reduced to its median over the rounds; the budget applies to the
+  # mean of those per-benchmark medians, so overhead confined to a few
+  # benchmarks still moves the verdict.
   overhead_filter='BM_GetVertex|BM_OutNeighbors|BM_GetLinkList'
-  SQLGRAPH_METRICS=1 ./build/bench/bench_micro_ops \
-    --benchmark_filter="${overhead_filter}" \
-    --benchmark_format=csv --benchmark_min_time=0.1 \
-    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-    >/tmp/bench_metrics_on.csv
-  SQLGRAPH_METRICS=0 ./build/bench/bench_micro_ops \
-    --benchmark_filter="${overhead_filter}" \
-    --benchmark_format=csv --benchmark_min_time=0.1 \
-    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
-    >/tmp/bench_metrics_off.csv
-  awk -F, '
-    FNR == 1 { file++ }
-    /^"?BM_.*_median"?,/ {
-      gsub(/"/, "", $1)
-      if (file == 1) on[$1] = $4; else off[$1] = $4
-    }
-    END {
-      sum = 0; n = 0
-      for (b in on) {
-        if (off[b] + 0 == 0) continue
-        ratio = on[b] / off[b]
-        printf "  %-44s on=%.1fns off=%.1fns ratio=%.3f\n", b, on[b], off[b], ratio
-        sum += ratio; n++
+  overhead_rounds=9
+  : >/tmp/bench_metrics_ratios.txt
+  for round in $(seq 1 "${overhead_rounds}"); do
+    if (( round % 2 )); then order="1 0"; else order="0 1"; fi
+    for metrics in ${order}; do
+      SQLGRAPH_METRICS="${metrics}" ./build/bench/bench_micro_ops \
+        --benchmark_filter="${overhead_filter}" \
+        --benchmark_format=csv --benchmark_min_time=0.1 \
+        >"/tmp/bench_metrics_${metrics}.csv"
+    done
+    # One "<benchmark> <on/off ratio>" line per benchmark for this round.
+    awk -F, '
+      FNR == 1 { file++ }
+      /^"?BM_/ {
+        gsub(/"/, "", $1)
+        if (file == 1) on[$1] = $4; else off[$1] = $4
       }
-      mean = n ? sum / n : 0
-      printf "  mean median-ratio over %d benchmarks: %.3f (budget 1.05)\n", n, mean
-      exit !(n > 0 && mean <= 1.05)
-    }' /tmp/bench_metrics_on.csv /tmp/bench_metrics_off.csv
+      END { for (b in on) if (off[b] + 0 != 0) printf "%s %.6f\n", b, on[b] / off[b] }
+    ' /tmp/bench_metrics_1.csv /tmp/bench_metrics_0.csv \
+      >>/tmp/bench_metrics_ratios.txt
+  done
+  sort -k1,1 -k2,2g /tmp/bench_metrics_ratios.txt | awk '
+    { n[$1]++; r[$1, n[$1]] = $2 }
+    END {
+      sum = 0; count = 0
+      for (b in n) {
+        k = n[b]
+        median = (k % 2) ? r[b, (k + 1) / 2] : (r[b, k / 2] + r[b, k / 2 + 1]) / 2
+        printf "  %-44s median ratio over %d rounds=%.3f\n", b, k, median
+        sum += median; count++
+      }
+      mean = count ? sum / count : 0
+      printf "  mean of per-benchmark median ratios over %d benchmarks: %.3f (budget 1.05)\n", count, mean
+      exit !(count > 0 && mean <= 1.05)
+    }'
 
   echo "== perf smoke (vectorized vs row-at-a-time analytics) =="
   # The batch executor must not lose to the row-at-a-time executor on the
@@ -191,6 +201,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   run_pass build-asan -DSQLGRAPH_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug
 
   echo "== TSan build (metrics hot path + differential + WAL concurrency) =="
+  # ci/tsan_suppressions.txt silences exactly one report: the lock-order
+  # inversion SchedExplorerTest.DfsDetectsAbBaDeadlock plants on purpose.
+  export TSAN_OPTIONS="suppressions=$(pwd)/ci/tsan_suppressions.txt${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}"
   run_pass build-tsan -DSQLGRAPH_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug
 
   echo "== TSan transaction torture (invariant transfer under contention) =="

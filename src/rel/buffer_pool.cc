@@ -1,5 +1,7 @@
 #include "rel/buffer_pool.h"
 
+#include <iterator>
+
 #include "obs/metrics.h"
 
 namespace sqlgraph {
@@ -40,62 +42,64 @@ std::shared_ptr<const DecodedPage> BufferPool::Lookup(PageId id) {
   return it->second->page;
 }
 
+// The write paths below declare `victims` before taking the lock: locals
+// are destroyed in reverse order, so the unlinked pages are freed after
+// `mu_` is released.
+
 void BufferPool::Insert(PageId id, std::shared_ptr<const DecodedPage> page) {
+  std::list<Entry> victims;
   util::MutexLock lock(&mu_);
   auto it = map_.find(id);
-  if (it != map_.end()) {
-    used_.Write() -= it->second->page->byte_size;
-    lru_.erase(it->second);
-    map_.erase(it);
-  }
+  if (it != map_.end()) Unlink(it->second, &victims);
   used_.Write() += page->byte_size;
   lru_.push_front(Entry{id, std::move(page)});
   map_[id] = lru_.begin();
-  EvictIfNeeded();
+  EvictIfNeeded(&victims);
 }
 
 void BufferPool::Invalidate(PageId id) {
+  std::list<Entry> victims;
   util::MutexLock lock(&mu_);
   auto it = map_.find(id);
-  if (it == map_.end()) return;
-  used_.Write() -= it->second->page->byte_size;
-  lru_.erase(it->second);
-  map_.erase(it);
+  if (it != map_.end()) Unlink(it->second, &victims);
 }
 
 void BufferPool::InvalidateStore(uint32_t store_id) {
+  std::list<Entry> victims;
   util::MutexLock lock(&mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->id.store_id == store_id) {
-      used_.Write() -= it->page->byte_size;
-      map_.erase(it->id);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
+    auto next = std::next(it);
+    if (it->id.store_id == store_id) Unlink(it, &victims);
+    it = next;
   }
 }
 
 void BufferPool::Clear() {
+  std::list<Entry> victims;
   util::MutexLock lock(&mu_);
-  lru_.clear();
+  victims.swap(lru_);
   map_.clear();
   used_.Write() = 0;
   hits_ = misses_ = evictions_ = 0;
 }
 
 void BufferPool::set_capacity(size_t bytes) {
+  std::list<Entry> victims;
   util::MutexLock lock(&mu_);
   capacity_ = bytes;
-  EvictIfNeeded();
+  EvictIfNeeded(&victims);
 }
 
-void BufferPool::EvictIfNeeded() {
+void BufferPool::Unlink(std::list<Entry>::iterator it,
+                        std::list<Entry>* victims) {
+  used_.Write() -= it->page->byte_size;
+  map_.erase(it->id);
+  victims->splice(victims->end(), lru_, it);
+}
+
+void BufferPool::EvictIfNeeded(std::list<Entry>* victims) {
   while (used_.Read() > capacity_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    used_.Write() -= victim.page->byte_size;
-    map_.erase(victim.id);
-    lru_.pop_back();
+    Unlink(std::prev(lru_.end()), victims);
     ++evictions_;
     EvictionCounter()->Increment();
   }

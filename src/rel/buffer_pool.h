@@ -4,7 +4,9 @@
 // reading a row requires the decoded page, which lives in this pool. A
 // smaller budget causes more decode work per access — this is the mechanism
 // the memory-sensitivity experiment (paper Fig. 8c) manipulates, instead of
-// an artificial sleep.
+// an artificial sleep. A miss decodes every scalar cell of the page but
+// keeps each JSON document as its stored compact text (see DecodedPage);
+// the row store parses a document only when a fetched row returns it.
 
 #ifndef SQLGRAPH_REL_BUFFER_POOL_H_
 #define SQLGRAPH_REL_BUFFER_POOL_H_
@@ -35,17 +37,22 @@ struct PageIdHash {
   }
 };
 
-/// A decoded page: the rows it contains plus its decoded footprint.
+/// A decoded page: the rows it contains plus the bytes they hold. A JSON
+/// cell holds the document's stored compact text as a string Value and is
+/// marked in `json_text` (row-major, one flag per cell). Pages are
+/// immutable once shared, so readers need no lock.
 struct DecodedPage {
   std::vector<Row> rows;
+  std::vector<bool> json_text;
   size_t byte_size = 0;
 };
 
 /// \brief LRU cache of decoded pages with a byte budget.
 ///
-/// Thread-safe; all operations take an internal mutex (paged stores are used
-/// by the single-requester memory-sweep benchmark, so contention is not a
-/// concern).
+/// Thread-safe; all operations take an internal mutex. Pages leaving the
+/// pool (eviction, replacement, invalidation) are unlinked under the mutex
+/// and destroyed after it is released, so freeing a page never stalls
+/// another reader's lookup.
 class BufferPool {
  public:
   explicit BufferPool(size_t capacity_bytes) : capacity_(capacity_bytes) {}
@@ -95,12 +102,17 @@ class BufferPool {
   }
 
  private:
-  void EvictIfNeeded() REQUIRES(mu_);
-
   struct Entry {
     PageId id;
     std::shared_ptr<const DecodedPage> page;
   };
+
+  /// Moves LRU entries into `victims` until the budget holds; the caller
+  /// drops them once `mu_` is released.
+  void EvictIfNeeded(std::list<Entry>* victims) REQUIRES(mu_);
+  /// Moves one entry out of the LRU list and the map into `victims`.
+  void Unlink(std::list<Entry>::iterator it, std::list<Entry>* victims)
+      REQUIRES(mu_);
 
   mutable util::Mutex mu_{util::LockRank::kBufferPool, "buffer_pool"};
   size_t capacity_ GUARDED_BY(mu_);

@@ -86,58 +86,64 @@ void EncodeRow(const Row& row, std::string* out) {
   }
 }
 
+util::Status DecodeValue(const std::string& buf, size_t* offset, Value* out,
+                         bool* json_text) {
+  *json_text = false;
+  if (*offset >= buf.size()) return util::Status::OutOfRange("truncated row");
+  const uint8_t tag = static_cast<uint8_t>(buf[*offset]);
+  ++*offset;
+  switch (tag) {
+    case kTagNull: *out = Value(); break;
+    case kTagFalse: *out = Value(false); break;
+    case kTagTrue: *out = Value(true); break;
+    case kTagInt: {
+      uint64_t bits;
+      RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
+      *out = Value(static_cast<int64_t>(bits));
+      break;
+    }
+    case kTagDouble: {
+      uint64_t bits;
+      RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
+      double d;
+      std::memcpy(&d, &bits, 8);
+      *out = Value(d);
+      break;
+    }
+    case kTagString:
+    case kTagJson: {
+      uint64_t len;
+      RETURN_NOT_OK(GetVarint(buf, offset, &len));
+      // Overflow-safe form: *offset + len can wrap for adversarial len.
+      if (len > buf.size() - *offset) {
+        return util::Status::OutOfRange(tag == kTagJson
+                                            ? "truncated json payload"
+                                            : "truncated string payload");
+      }
+      *out = Value(buf.substr(*offset, len));
+      *offset += len;
+      *json_text = tag == kTagJson;
+      break;
+    }
+    default:
+      return util::Status::Internal("bad value tag " + std::to_string(tag));
+  }
+  return util::Status::OK();
+}
+
 util::Status DecodeRow(const std::string& buf, size_t num_columns,
                        size_t* offset, Row* out) {
   out->clear();
   out->reserve(num_columns);
   for (size_t i = 0; i < num_columns; ++i) {
-    if (*offset >= buf.size()) return util::Status::OutOfRange("truncated row");
-    const uint8_t tag = static_cast<uint8_t>(buf[*offset]);
-    ++*offset;
-    switch (tag) {
-      case kTagNull: out->emplace_back(); break;
-      case kTagFalse: out->emplace_back(false); break;
-      case kTagTrue: out->emplace_back(true); break;
-      case kTagInt: {
-        uint64_t bits;
-        RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
-        out->emplace_back(static_cast<int64_t>(bits));
-        break;
-      }
-      case kTagDouble: {
-        uint64_t bits;
-        RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
-        double d;
-        std::memcpy(&d, &bits, 8);
-        out->emplace_back(d);
-        break;
-      }
-      case kTagString: {
-        uint64_t len;
-        RETURN_NOT_OK(GetVarint(buf, offset, &len));
-        // Overflow-safe form: *offset + len can wrap for adversarial len.
-        if (len > buf.size() - *offset) {
-          return util::Status::OutOfRange("truncated string payload");
-        }
-        out->emplace_back(buf.substr(*offset, len));
-        *offset += len;
-        break;
-      }
-      case kTagJson: {
-        uint64_t len;
-        RETURN_NOT_OK(GetVarint(buf, offset, &len));
-        if (len > buf.size() - *offset) {
-          return util::Status::OutOfRange("truncated json payload");
-        }
-        ASSIGN_OR_RETURN(json::JsonValue jv,
-                         json::Parse(std::string_view(buf).substr(*offset, len)));
-        out->emplace_back(std::move(jv));
-        *offset += len;
-        break;
-      }
-      default:
-        return util::Status::Internal("bad value tag " + std::to_string(tag));
+    Value v;
+    bool json_text = false;
+    RETURN_NOT_OK(DecodeValue(buf, offset, &v, &json_text));
+    if (json_text) {
+      ASSIGN_OR_RETURN(json::JsonValue doc, json::Parse(v.AsString()));
+      v = Value(std::move(doc));
     }
+    out->push_back(std::move(v));
   }
   return util::Status::OK();
 }

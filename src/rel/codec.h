@@ -1,6 +1,11 @@
-// Binary row codec used by the paged row store. Rows are serialized into
-// page blobs; reading a row from an evicted page pays a real decode cost,
-// which is the mechanism behind the buffer-pool/memory experiments.
+// Binary row codec used by the paged row store and the snapshot format.
+// Rows are serialized into page blobs; reading a row from an evicted page
+// pays a real decode cost, which is the mechanism behind the
+// buffer-pool/memory experiments. DecodeValue is the one value decoder:
+// it leaves a JSON document as its stored compact text, so a page decode
+// costs a copy per column, and json::Parse runs only for the documents a
+// reader actually returns (DecodeRow, used by snapshot load, parses them
+// all).
 
 #ifndef SQLGRAPH_REL_CODEC_H_
 #define SQLGRAPH_REL_CODEC_H_
@@ -21,8 +26,15 @@ namespace rel {
 /// strings/JSON (JSON is stored as compact text).
 void EncodeRow(const Row& row, std::string* out);
 
+/// Decodes the value starting at `*offset` and advances `*offset` past it.
+/// A JSON document is not parsed: `*out` receives its stored compact text
+/// as a string Value and `*json_text` is set, so the caller decides when to
+/// pay for json::Parse.
+util::Status DecodeValue(const std::string& buf, size_t* offset, Value* out,
+                         bool* json_text);
+
 /// Decodes one row (arity `num_columns`) starting at `*offset`; advances
-/// `*offset` past it.
+/// `*offset` past it. JSON documents are parsed.
 util::Status DecodeRow(const std::string& buf, size_t num_columns,
                        size_t* offset, Row* out);
 

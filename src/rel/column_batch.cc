@@ -268,18 +268,6 @@ void ColumnBatch::AppendRow(const Row& row) {
   ++num_rows;
 }
 
-void ColumnBatch::AppendProjected(const Row& full,
-                                  const std::vector<int>& projection) {
-  if (projection.empty()) {
-    AppendRow(full);
-    return;
-  }
-  for (size_t c = 0; c < projection.size(); ++c) {
-    cols[c].Append(full[static_cast<size_t>(projection[c])]);
-  }
-  ++num_rows;
-}
-
 void ColumnBatch::AppendRowFrom(const ColumnBatch& src, size_t i) {
   for (size_t c = 0; c < cols.size(); ++c) cols[c].AppendFrom(src.cols[c], i);
   ++num_rows;

@@ -103,9 +103,6 @@ struct ColumnBatch {
   void Reserve(size_t n);
 
   void AppendRow(const Row& row);
-  /// Appends `full` through a column projection (empty = identity), the
-  /// batched counterpart of Relation::Project — no intermediate Row.
-  void AppendProjected(const Row& full, const std::vector<int>& projection);
   /// Appends row `i` of `src` column by column.
   void AppendRowFrom(const ColumnBatch& src, size_t i);
   /// Appends rows `sel[*]` of `src`.

@@ -2,8 +2,59 @@
 
 #include <cassert>
 
+#include "json/json_parser.h"
+
 namespace sqlgraph {
 namespace rel {
+
+namespace {
+
+// Copies the cells of `columns` (all of them when empty) into `*out`.
+void CopyColumns(const Row& row, std::span<const int> columns, Row* out) {
+  if (columns.empty()) {
+    *out = row;
+    return;
+  }
+  out->clear();
+  out->reserve(columns.size());
+  for (int c : columns) out->push_back(row[static_cast<size_t>(c)]);
+}
+
+// Materializes the cells of `columns` (all of them when empty) of page row
+// `slot` into `*out`; only the JSON documents returned are parsed.
+util::Status MaterializeRow(const DecodedPage& page, size_t slot,
+                            std::span<const int> columns, Row* out) {
+  const Row& cells = page.rows[slot];
+  const size_t first_flag = slot * cells.size();
+  out->clear();
+  out->reserve(columns.empty() ? cells.size() : columns.size());
+  auto take = [&](size_t c) -> util::Status {
+    if (!page.json_text[first_flag + c]) {
+      out->push_back(cells[c]);
+      return util::Status::OK();
+    }
+    ASSIGN_OR_RETURN(json::JsonValue doc, json::Parse(cells[c].AsString()));
+    out->emplace_back(std::move(doc));
+    return util::Status::OK();
+  };
+  if (columns.empty()) {
+    for (size_t c = 0; c < cells.size(); ++c) RETURN_NOT_OK(take(c));
+  } else {
+    for (int c : columns) RETURN_NOT_OK(take(static_cast<size_t>(c)));
+  }
+  return util::Status::OK();
+}
+
+// Whether any cell of page row `slot` still holds unparsed JSON text.
+bool HasJsonText(const DecodedPage& page, size_t slot) {
+  const size_t width = page.rows[slot].size();
+  for (size_t c = slot * width; c < (slot + 1) * width; ++c) {
+    if (page.json_text[c]) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- Vector --
 
@@ -14,11 +65,12 @@ RowId VectorRowStore::Append(Row row) {
   return rows_.size() - 1;
 }
 
-util::Status VectorRowStore::Get(RowId rid, Row* out) const {
+util::Status VectorRowStore::Get(RowId rid, Row* out,
+                                 std::span<const int> columns) const {
   if (rid >= rows_.size() || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
-  *out = rows_[rid];
+  CopyColumns(rows_[rid], columns, out);
   return util::Status::OK();
 }
 
@@ -59,10 +111,17 @@ bool VectorRowStore::IsLive(RowId rid) const {
   return rid < rows_.size() && live_[rid];
 }
 
-void VectorRowStore::Scan(
-    const std::function<void(RowId, const Row&)>& visit) const {
+void VectorRowStore::Scan(const std::function<void(RowId, const Row&)>& visit,
+                          std::span<const int> columns) const {
+  Row projected;
   for (RowId rid = 0; rid < rows_.size(); ++rid) {
-    if (live_[rid]) visit(rid, rows_[rid]);
+    if (!live_[rid]) continue;
+    if (columns.empty()) {
+      visit(rid, rows_[rid]);
+    } else {
+      CopyColumns(rows_[rid], columns, &projected);
+      visit(rid, projected);
+    }
   }
 }
 
@@ -113,69 +172,81 @@ std::shared_ptr<const DecodedPage> PagedRowStore::FetchPage(
   const PageId id{store_id_, page_index};
   if (auto cached = pool_->Lookup(id)) return cached;
   // Miss: decode the blob (this is the real cost the pool budget controls).
+  // JSON documents stay compact text until a Get returns them.
   const std::string& blob = page_blobs_[page_index];
   auto page = std::make_shared<DecodedPage>();
   page->rows.reserve(rows_per_page_);
+  page->json_text.reserve(rows_per_page_ * num_columns_);
   size_t offset = 0;
   while (offset < blob.size()) {
     Row row;
-    util::Status st = DecodeRow(blob, num_columns_, &offset, &row);
-    // We only decode blobs this store encoded; failure is a bug, asserted in
-    // debug builds and unreachable in release.
-    assert(st.ok());
-    (void)st;
-    page->byte_size += 64;
-    for (const Value& v : row) page->byte_size += v.ByteSize();
+    row.reserve(num_columns_);
+    page->byte_size += 64;  // per-row overhead
+    for (size_t c = 0; c < num_columns_; ++c) {
+      Value v;
+      bool json_text = false;
+      util::Status st = DecodeValue(blob, &offset, &v, &json_text);
+      // We only decode blobs this store encoded; failure is a bug, asserted
+      // in debug builds and unreachable in release.
+      assert(st.ok());
+      (void)st;
+      page->byte_size += v.ByteSize();
+      page->json_text.push_back(json_text);
+      row.push_back(std::move(v));
+    }
     page->rows.push_back(std::move(row));
   }
   pool_->Insert(id, page);
   return page;
 }
 
-void PagedRowStore::StorePage(uint32_t page_index, DecodedPage page) {
-  std::string blob;
-  for (const Row& r : page.rows) EncodeRow(r, &blob);
-  serialized_bytes_ -= page_blobs_[page_index].size();
-  serialized_bytes_ += blob.size();
-  page_blobs_[page_index] = std::move(blob);
-  page.byte_size = 64;
-  for (const Row& r : page.rows) {
-    for (const Value& v : r) page.byte_size += v.ByteSize();
-  }
-  pool_->Insert(PageId{store_id_, page_index},
-                std::make_shared<DecodedPage>(std::move(page)));
-}
-
-util::Status PagedRowStore::Get(RowId rid, Row* out) const {
+util::Status PagedRowStore::Get(RowId rid, Row* out,
+                                std::span<const int> columns) const {
   if (rid >= num_rows_ || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
   const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
   if (page_index >= page_blobs_.size()) {
     // Row still in the unsealed tail.
-    *out = tail_[rid - page_blobs_.size() * rows_per_page_];
+    CopyColumns(tail_[rid - page_blobs_.size() * rows_per_page_], columns,
+                out);
     return util::Status::OK();
   }
   auto page = FetchPage(static_cast<uint32_t>(page_index));
-  *out = page->rows[slot];
-  return util::Status::OK();
+  return MaterializeRow(*page, rid % rows_per_page_, columns, out);
 }
 
 util::Status PagedRowStore::Update(RowId rid, Row row) {
   if (rid >= num_rows_ || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
+  return Rewrite(rid, std::move(row));
+}
+
+util::Status PagedRowStore::Rewrite(RowId rid, Row row) {
   const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
   if (page_index >= page_blobs_.size()) {
     tail_[rid - page_blobs_.size() * rows_per_page_] = std::move(row);
     return util::Status::OK();
   }
-  auto page = FetchPage(static_cast<uint32_t>(page_index));
-  DecodedPage updated = *page;
-  updated.rows[slot] = std::move(row);
-  StorePage(static_cast<uint32_t>(page_index), std::move(updated));
+  // Find the byte range of the row's slot by walking the rows before it.
+  std::string& blob = page_blobs_[page_index];
+  const size_t slot = rid % rows_per_page_;
+  size_t begin = 0;
+  Value skipped;
+  bool json_text = false;
+  for (size_t cell = 0; cell < slot * num_columns_; ++cell) {
+    RETURN_NOT_OK(DecodeValue(blob, &begin, &skipped, &json_text));
+  }
+  size_t end = begin;
+  for (size_t c = 0; c < num_columns_; ++c) {
+    RETURN_NOT_OK(DecodeValue(blob, &end, &skipped, &json_text));
+  }
+  std::string encoded;
+  EncodeRow(row, &encoded);
+  serialized_bytes_ = serialized_bytes_ - (end - begin) + encoded.size();
+  blob.replace(begin, end - begin, encoded);
+  pool_->Invalidate(PageId{store_id_, static_cast<uint32_t>(page_index)});
   return util::Status::OK();
 }
 
@@ -199,19 +270,9 @@ util::Status PagedRowStore::Restore(RowId rid, Row row) {
   live_[rid] = true;
   ++live_count_;
   // Deletion only flips the live bit, but the slot may since have been
-  // overwritten by an unrelated Update-path re-encode; write the content
-  // back unconditionally.
-  const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
-  if (page_index >= page_blobs_.size()) {
-    tail_[rid - page_blobs_.size() * rows_per_page_] = std::move(row);
-    return util::Status::OK();
-  }
-  auto page = FetchPage(static_cast<uint32_t>(page_index));
-  DecodedPage updated = *page;
-  updated.rows[slot] = std::move(row);
-  StorePage(static_cast<uint32_t>(page_index), std::move(updated));
-  return util::Status::OK();
+  // overwritten by an unrelated Update; write the content back
+  // unconditionally.
+  return Rewrite(rid, std::move(row));
 }
 
 bool PagedRowStore::IsLive(RowId rid) const {
@@ -230,18 +291,35 @@ size_t PagedRowStore::SerializedBytes() const {
   return total;
 }
 
-void PagedRowStore::Scan(
-    const std::function<void(RowId, const Row&)>& visit) const {
+void PagedRowStore::Scan(const std::function<void(RowId, const Row&)>& visit,
+                         std::span<const int> columns) const {
   RowId rid = 0;
+  Row row;
   for (size_t p = 0; p < page_blobs_.size(); ++p) {
     auto page = FetchPage(static_cast<uint32_t>(p));
-    for (const Row& row : page->rows) {
-      if (live_[rid]) visit(rid, row);
-      ++rid;
+    for (size_t slot = 0; slot < page->rows.size(); ++slot, ++rid) {
+      if (!live_[rid]) continue;
+      if (columns.empty() && !HasJsonText(*page, slot)) {
+        visit(rid, page->rows[slot]);
+        continue;
+      }
+      util::Status st = MaterializeRow(*page, slot, columns, &row);
+      // The page was decoded from this store's own encoding; a document
+      // that fails to parse is a bug, asserted in debug builds.
+      assert(st.ok());
+      (void)st;
+      visit(rid, row);
     }
   }
-  for (const Row& row : tail_) {
-    if (live_[rid]) visit(rid, row);
+  for (const Row& tail_row : tail_) {
+    if (live_[rid]) {
+      if (columns.empty()) {
+        visit(rid, tail_row);
+      } else {
+        CopyColumns(tail_row, columns, &row);
+        visit(rid, row);
+      }
+    }
     ++rid;
   }
 }

@@ -4,7 +4,12 @@
 //    most benchmarks.
 //  * PagedRowStore — rows serialized into fixed-fanout page blobs fronted by
 //    the shared BufferPool; used for the memory-sensitivity experiment and
-//    for on-disk size accounting.
+//    for on-disk size accounting. A page miss decodes the scalar cells and
+//    copies each JSON document's compact text; Get and Scan parse a
+//    document only when the requested columns include it.
+//
+// Get and Scan take the caller's column list, so a fetch or a scan copies
+// (and, paged, parses) only the columns the query reads.
 //
 // RowIds are dense append positions; deletion tombstones a slot, it is never
 // reused (matching the paper's soft-delete design).
@@ -15,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,8 +41,11 @@ class RowStore {
   /// Appends a row; returns its RowId.
   virtual RowId Append(Row row) = 0;
 
-  /// Copies the row at `rid` into `*out`. Fails for tombstoned/bad ids.
-  virtual util::Status Get(RowId rid, Row* out) const = 0;
+  /// Copies the row at `rid` into `*out`: the cells of `columns`, in that
+  /// order, or the whole row when `columns` is empty. Fails for
+  /// tombstoned/bad ids.
+  virtual util::Status Get(RowId rid, Row* out,
+                           std::span<const int> columns = {}) const = 0;
 
   /// Replaces the row at `rid`.
   virtual util::Status Update(RowId rid, Row row) = 0;
@@ -50,10 +59,12 @@ class RowStore {
 
   virtual bool IsLive(RowId rid) const = 0;
 
-  /// Visits every live row in RowId order. The reference is only valid for
-  /// the duration of the callback.
-  virtual void Scan(
-      const std::function<void(RowId, const Row&)>& visit) const = 0;
+  /// Visits every live row in RowId order, each as the cells of `columns`
+  /// (in that order) or the whole row when `columns` is empty. The
+  /// reference is only valid for the duration of the callback. A paged
+  /// store parses only the JSON documents among the visited columns.
+  virtual void Scan(const std::function<void(RowId, const Row&)>& visit,
+                    std::span<const int> columns = {}) const = 0;
 
   /// Number of slots ever allocated (live + tombstoned).
   virtual size_t NumSlots() const = 0;
@@ -67,19 +78,17 @@ class RowStore {
 class VectorRowStore : public RowStore {
  public:
   RowId Append(Row row) override;
-  util::Status Get(RowId rid, Row* out) const override;
+  util::Status Get(RowId rid, Row* out,
+                   std::span<const int> columns = {}) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;
   bool IsLive(RowId rid) const override;
-  void Scan(
-      const std::function<void(RowId, const Row&)>& visit) const override;
+  void Scan(const std::function<void(RowId, const Row&)>& visit,
+            std::span<const int> columns = {}) const override;
   size_t NumSlots() const override { return rows_.size(); }
   size_t NumLive() const override { return live_count_; }
   size_t SerializedBytes() const override;
-
-  /// Zero-copy access for internal fast paths (resident store only).
-  const Row& RowRef(RowId rid) const { return rows_[rid]; }
 
  private:
   std::vector<Row> rows_;
@@ -95,13 +104,14 @@ class PagedRowStore : public RowStore {
                 size_t rows_per_page = 64);
 
   RowId Append(Row row) override;
-  util::Status Get(RowId rid, Row* out) const override;
+  util::Status Get(RowId rid, Row* out,
+                   std::span<const int> columns = {}) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;
   bool IsLive(RowId rid) const override;
-  void Scan(
-      const std::function<void(RowId, const Row&)>& visit) const override;
+  void Scan(const std::function<void(RowId, const Row&)>& visit,
+            std::span<const int> columns = {}) const override;
   size_t NumSlots() const override { return num_rows_; }
   size_t NumLive() const override { return live_count_; }
   size_t SerializedBytes() const override;
@@ -109,8 +119,10 @@ class PagedRowStore : public RowStore {
  private:
   // Fetches (decoding on miss) the page holding `page_index`.
   std::shared_ptr<const DecodedPage> FetchPage(uint32_t page_index) const;
-  // Re-encodes a modified page into its blob and refreshes the pool.
-  void StorePage(uint32_t page_index, DecodedPage page);
+  // Overwrites the slot of `rid` (Update/Restore): a sealed page's blob has
+  // that row's bytes replaced in place, so every other row keeps its bytes
+  // verbatim, and the stale decoded page is dropped from the pool.
+  util::Status Rewrite(RowId rid, Row row);
   // Seals the append buffer into a blob once full.
   void SealTailIfFull();
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,11 +92,19 @@ class Table {
 
   size_t NumVersions() const { return versions_.Read().size(); }
 
-  util::Status Get(RowId rid, Row* out) const { return store_->Get(rid, out); }
+  /// Copies row `rid` into `*out`: the cells of `columns`, in that order,
+  /// or the whole row when `columns` is empty (see RowStore::Get).
+  util::Status Get(RowId rid, Row* out,
+                   std::span<const int> columns = {}) const {
+    return store_->Get(rid, out, columns);
+  }
   bool IsLive(RowId rid) const { return store_->IsLive(rid); }
 
-  void Scan(const std::function<void(RowId, const Row&)>& visit) const {
-    store_->Scan(visit);
+  /// Visits every live row, as the cells of `columns` or whole when
+  /// `columns` is empty (see RowStore::Scan).
+  void Scan(const std::function<void(RowId, const Row&)>& visit,
+            std::span<const int> columns = {}) const {
+    store_->Scan(visit, columns);
   }
 
   /// Creates and backfills an index over the named columns.

@@ -57,23 +57,15 @@ struct Relation {
   const ResultSet* borrowed = nullptr;
   std::shared_ptr<ResultSet> owned;
   // Column pruning (projection pushdown): when non-empty, only these
-  // base-table column indexes are carried into join rows. Wide tables like
-  // OPA (3 columns per triad) shrink to the handful of referenced columns.
+  // base-table column indexes are fetched (Table::Get and Table::Scan take
+  // this list) and carried into join rows. Wide tables like OPA (3 columns
+  // per triad) shrink to the handful of referenced columns.
   std::vector<int> projection;
 
   const std::vector<Row>* rows() const {
     if (borrowed != nullptr) return &borrowed->rows;
     if (owned != nullptr) return &owned->rows;
     return nullptr;
-  }
-
-  /// Applies the projection to a freshly fetched base-table row.
-  Row Project(const Row& full) const {
-    if (projection.empty()) return full;
-    Row out;
-    out.reserve(projection.size());
-    for (int c : projection) out.push_back(full[static_cast<size_t>(c)]);
-    return out;
   }
 };
 
@@ -614,6 +606,12 @@ class Executor::Impl {
             pruned_names.push_back(schema.column(c).name);
           }
         }
+        if (projection.empty() && schema.num_columns() > 0) {
+          // Nothing of this table is read (e.g. COUNT(*)): carry its first
+          // column, so the fetch stays narrow instead of whole-row.
+          projection.push_back(0);
+          pruned_names.push_back(schema.column(0).name);
+        }
         if (projection.size() < schema.num_columns()) {
           relation.projection = std::move(projection);
           relation.columns = std::move(pruned_names);
@@ -869,10 +867,12 @@ class Executor::Impl {
               ScanBatched(relation, env, applicable, &used, *ctx, ws, &scanned));
           span.set_rows(scanned);
         } else {
-          relation.base->Scan([&](rel::RowId, const Row& row) {
-            ++stats_->rows_scanned;
-            ws->rows.push_back(relation.Project(row));
-          });
+          relation.base->Scan(
+              [&](rel::RowId, const Row& row) {
+                ++stats_->rows_scanned;
+                ws->rows.push_back(row);
+              },
+              relation.projection);
           span.set_rows(ws->rows.size());
         }
       } else {
@@ -941,13 +941,15 @@ class Executor::Impl {
       chunk.Reset(width);
       chunk.Reserve(rel::kVectorChunkRows);
     };
-    relation.base->Scan([&](rel::RowId, const Row& row) {
-      if (!st.ok()) return;
-      ++stats_->rows_scanned;
-      ++*scanned;
-      chunk.AppendProjected(row, relation.projection);
-      if (chunk.num_rows >= rel::kVectorChunkRows) flush();
-    });
+    relation.base->Scan(
+        [&](rel::RowId, const Row& row) {
+          if (!st.ok()) return;
+          ++stats_->rows_scanned;
+          ++*scanned;
+          chunk.AppendRow(row);
+          if (chunk.num_rows >= rel::kVectorChunkRows) flush();
+        },
+        relation.projection);
     flush();
     return st;
   }
@@ -1166,11 +1168,11 @@ class Executor::Impl {
                    WorkingSet* ws) {
     Row row;
     for (rel::RowId rid : rids) {
-      RETURN_NOT_OK(relation.base->Get(rid, &row));
+      RETURN_NOT_OK(relation.base->Get(rid, &row, relation.projection));
       if (ws->is_batch) {
-        ws->batch.AppendProjected(row, relation.projection);
+        ws->batch.AppendRow(row);
       } else {
-        ws->rows.push_back(relation.Project(row));
+        ws->rows.push_back(std::move(row));
       }
       ++stats_->rows_scanned;
     }
@@ -1299,11 +1301,9 @@ class Executor::Impl {
             best->Lookup(key, &rids);
             ++stats_->index_lookups;
             for (rel::RowId rid : rids) {
-              RETURN_NOT_OK(table.Get(rid, &fetched));
-              Row projected = relation.Project(fetched);
+              RETURN_NOT_OK(table.Get(rid, &fetched, relation.projection));
               Row combined = current;
-              combined.insert(combined.end(), projected.begin(),
-                              projected.end());
+              combined.insert(combined.end(), fetched.begin(), fetched.end());
               out.push_back(std::move(combined));
             }
           }
@@ -1486,8 +1486,8 @@ class Executor::Impl {
       index.Lookup(key, &rids);
       ++stats_->index_lookups;
       for (rel::RowId rid : rids) {
-        RETURN_NOT_OK(relation.base->Get(rid, &fetched));
-        right.AppendProjected(fetched, relation.projection);
+        RETURN_NOT_OK(relation.base->Get(rid, &fetched, relation.projection));
+        right.AppendRow(fetched);
         left_sel.push_back(static_cast<uint32_t>(i));
       }
     }
@@ -1593,10 +1593,12 @@ class Executor::Impl {
       ++stats_->table_scans;
       obs::ScopedSpan span(spans_, context_,
                            "seq scan " + relation.base->name() + " (build)");
-      relation.base->Scan([&](rel::RowId, const Row& row) {
-        ++stats_->rows_scanned;
-        out.AppendProjected(row, relation.projection);
-      });
+      relation.base->Scan(
+          [&](rel::RowId, const Row& row) {
+            ++stats_->rows_scanned;
+            out.AppendRow(row);
+          },
+          relation.projection);
       span.set_rows(out.num_rows);
       return out;
     }
@@ -1700,11 +1702,9 @@ class Executor::Impl {
             index->Lookup(key, &rids);
             ++stats_->index_lookups;
             for (rel::RowId rid : rids) {
-              RETURN_NOT_OK(table.Get(rid, &fetched));
-              Row projected = relation.Project(fetched);
+              RETURN_NOT_OK(table.Get(rid, &fetched, relation.projection));
               Row combined = current;
-              combined.insert(combined.end(), projected.begin(),
-                              projected.end());
+              combined.insert(combined.end(), fetched.begin(), fetched.end());
               bool pass = true;
               for (const auto& c : residual) {
                 ASSIGN_OR_RETURN(Value v,
@@ -1840,10 +1840,12 @@ class Executor::Impl {
       ++stats_->table_scans;
       obs::ScopedSpan span(spans_, context_,
                            "seq scan " + relation.base->name() + " (build)");
-      relation.base->Scan([&](rel::RowId, const Row& row) {
-        ++stats_->rows_scanned;
-        out.push_back(relation.Project(row));
-      });
+      relation.base->Scan(
+          [&](rel::RowId, const Row& row) {
+            ++stats_->rows_scanned;
+            out.push_back(row);
+          },
+          relation.projection);
       span.set_rows(out.size());
       return out;
     }

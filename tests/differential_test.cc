@@ -61,9 +61,9 @@ const char* kGenres[] = {"Rocken", "Jazz", "Folk"};
 
 /// Random graph in the DBpedia shape's image: URI edge labels, a 'genre'
 /// string attribute and a 'w' integer attribute on every vertex.
-PropertyGraph RandomGraph(util::Rng* rng) {
+PropertyGraph RandomGraph(util::Rng* rng, size_t min_vertices = 20) {
   PropertyGraph g;
-  const size_t n = 20 + rng->Uniform(40);
+  const size_t n = min_vertices + rng->Uniform(40);
   for (size_t i = 0; i < n; ++i) {
     json::JsonValue attrs = json::JsonValue::Object();
     attrs.Set("w", static_cast<int64_t>(rng->Uniform(10)));
@@ -221,22 +221,57 @@ void RunExecutorModeTrials(SqlGraphStore* vec_store, SqlGraphStore* row_store,
   }
 }
 
-class DifferentialTest : public ::testing::TestWithParam<int> {};
+struct DiffParam {
+  int seed;
+  rel::StorageMode storage;
+};
+
+// CTest names parameterized tests after the printed parameter; printing
+// the bare seed keeps them `<prefix>/DifferentialTest.<name>/<seed>`.
+void PrintTo(const DiffParam& p, std::ostream* os) { *os << p.seed; }
+
+std::vector<DiffParam> DiffSeeds(rel::StorageMode storage, int n) {
+  std::vector<DiffParam> out;
+  for (int seed = 0; seed < n; ++seed) out.push_back({seed, storage});
+  return out;
+}
+
+std::string DiffSeedName(const ::testing::TestParamInfo<DiffParam>& info) {
+  return std::to_string(info.param.seed);
+}
+
+class DifferentialTest : public ::testing::TestWithParam<DiffParam> {};
 
 TEST_P(DifferentialTest, SqlTranslationMatchesInterpreterMultisets) {
-  util::Rng rng(0xD1FF + static_cast<uint64_t>(GetParam()) * 6700417);
-  PropertyGraph g = RandomGraph(&rng);
+  const DiffParam& param = GetParam();
+  util::Rng rng(0xD1FF + static_cast<uint64_t>(param.seed) * 6700417);
   StoreConfig config = DiffStoreConfig();
   config.va_hash_indexes = {"genre"};
+  config.storage = param.storage;
+  // Paged: enough vertices that VA seals pages (64 rows each) and a pool
+  // of a few KiB, so pages are evicted and re-decoded mid-query.
+  const bool paged = param.storage == rel::StorageMode::kPaged;
+  if (paged) config.buffer_pool_bytes = 8 << 10;
+  PropertyGraph g = RandomGraph(&rng, paged ? 150 : 20);
   auto store = SqlGraphStore::Build(g, config);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto native = baseline::NativeStore::Build(g);
   ASSERT_TRUE(native.ok());
   RunDifferentialTrials(store->get(), native->get(), &rng, g.NumVertices(),
-                        TrialsPerSeed(), "random-graph");
+                        TrialsPerSeed(), paged ? "paged" : "random-graph");
+  if (paged) {
+    EXPECT_GT((*store)->db()->buffer_pool()->evictions(), 0u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DifferentialTest,
+    ::testing::ValuesIn(DiffSeeds(rel::StorageMode::kResident, 10)),
+    DiffSeedName);
+INSTANTIATE_TEST_SUITE_P(
+    Paged, DifferentialTest,
+    ::testing::ValuesIn(DiffSeeds(rel::StorageMode::kPaged, 4)),
+    DiffSeedName);
 
 // Executor-mode differential: two stores over the same graph, one per
 // Options::vectorized setting, against the interpreter oracle.

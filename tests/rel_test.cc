@@ -1,6 +1,7 @@
 // Tests for src/rel: values, codec, row stores, buffer pool, indexes,
 // tables, database catalog, lock manager.
 
+#include <span>
 #include <thread>
 
 #include "gtest/gtest.h"
@@ -8,6 +9,7 @@
 #include "rel/codec.h"
 #include "rel/database.h"
 #include "rel/lock_manager.h"
+#include "util/rng.h"
 
 namespace sqlgraph {
 namespace rel {
@@ -92,6 +94,42 @@ TEST(CodecTest, RowRoundTripAllTypes) {
   for (size_t i = 0; i < row.size(); ++i) {
     EXPECT_EQ(decoded[i], row[i]) << "column " << i;
   }
+  EXPECT_EQ(offset, buf.size());
+}
+
+// The row format is the on-disk page and snapshot format: pin its bytes.
+// DecodeValue hands a JSON document back as its stored text, unparsed.
+TEST(CodecTest, EncodeRowBytesArePinnedAndJsonDecodesAsText) {
+  json::JsonValue doc = json::JsonValue::Object();
+  json::JsonValue arr = json::JsonValue::Array();
+  arr.MutableArray().push_back(json::JsonValue(1));
+  doc.Set("k", std::move(arr));
+  const Row row = {Value(), Value(false), Value(true), Value(1), Value(0.5),
+                   Value("ab"), Value(doc)};
+  std::string buf;
+  EncodeRow(row, &buf);
+  const std::string expected(
+      "\x00\x01\x02"
+      "\x03\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x04\x00\x00\x00\x00\x00\x00\xe0\x3f"
+      "\x05\x02" "ab"
+      "\x06\x09" "{\"k\":[1]}",
+      36);
+  EXPECT_EQ(buf, expected);
+
+  size_t offset = 0;
+  for (size_t i = 0; i + 1 < row.size(); ++i) {
+    Value v;
+    bool json_text = true;
+    ASSERT_TRUE(DecodeValue(buf, &offset, &v, &json_text).ok());
+    EXPECT_FALSE(json_text);
+    EXPECT_EQ(v, row[i]);
+  }
+  Value v;
+  bool json_text = false;
+  ASSERT_TRUE(DecodeValue(buf, &offset, &v, &json_text).ok());
+  EXPECT_TRUE(json_text);
+  EXPECT_EQ(v.AsString(), "{\"k\":[1]}");
   EXPECT_EQ(offset, buf.size());
 }
 
@@ -239,6 +277,202 @@ TEST(PagedRowStoreTest, SerializedBytesTracked) {
   EXPECT_EQ(store.SerializedBytes(), 0u);
   for (int i = 0; i < 16; ++i) store.Append({Value(std::string(100, 'x'))});
   EXPECT_GT(store.SerializedBytes(), 1000u);
+}
+
+// Paged vs resident property test: the same random mutation stream lands in
+// a resident table and in a paged one whose pool holds about two pages, so
+// pages are evicted and re-decoded throughout. Every Get and every Scan,
+// each with a random column list, must agree.
+
+json::JsonValue RandomJson(util::Rng* rng, int depth) {
+  switch (rng->Uniform(depth > 0 ? 8 : 5)) {
+    case 0: return json::JsonValue();
+    case 1: return json::JsonValue(rng->Chance(0.5));
+    case 2: return json::JsonValue(rng->UniformRange(-1000, 1000));
+    case 3: return json::JsonValue(rng->NextDouble() * 1e6 - 5e5);
+    case 4: {
+      static const char* kTexts[] = {"", "plain", "quote\"d", "back\\slash",
+                                     "new\nline\ttab", "caf\xc3\xa9 \u00e9",
+                                     "{\"not\": [json]}"};
+      return json::JsonValue(std::string(kTexts[rng->Uniform(7)]));
+    }
+    case 5: return json::JsonValue::Object();  // empty
+    case 6: {
+      json::JsonValue arr = json::JsonValue::Array();
+      const size_t n = rng->Uniform(4);
+      for (size_t i = 0; i < n; ++i) {
+        arr.MutableArray().push_back(RandomJson(rng, depth - 1));
+      }
+      return arr;
+    }
+    default: {
+      json::JsonValue obj = json::JsonValue::Object();
+      const size_t n = 1 + rng->Uniform(4);
+      for (size_t i = 0; i < n; ++i) {
+        obj.Set("k" + std::to_string(rng->Uniform(6)) + "\"",
+                RandomJson(rng, depth - 1));
+      }
+      return obj;
+    }
+  }
+}
+
+Schema MixedSchema() {
+  Schema s;
+  s.AddColumn("id", ColumnType::kInt64, /*nullable=*/false);
+  s.AddColumn("name", ColumnType::kString);
+  s.AddColumn("score", ColumnType::kDouble);
+  s.AddColumn("doc", ColumnType::kJson);
+  s.AddColumn("tags", ColumnType::kJson);
+  return s;
+}
+
+Row RandomMixedRow(util::Rng* rng, int64_t id) {
+  auto maybe_null = [&](Value v) { return rng->Chance(0.2) ? Value() : v; };
+  return {Value(id), maybe_null(Value(rng->NextString(rng->Uniform(12)))),
+          maybe_null(Value(rng->NextDouble() * 100 - 50)),
+          maybe_null(Value(RandomJson(rng, 3))),
+          maybe_null(Value(RandomJson(rng, 2)))};
+}
+
+std::vector<std::pair<RowId, Row>> ScanAll(const Table& t,
+                                           std::span<const int> columns = {}) {
+  std::vector<std::pair<RowId, Row>> out;
+  t.Scan([&](RowId rid, const Row& row) { out.emplace_back(rid, row); },
+         columns);
+  return out;
+}
+
+TEST(PagedRowStorePropertyTest, AgreesWithResidentUnderEviction) {
+  constexpr size_t kColumns = 5;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed * 7919);
+    BufferPool pool(1200);
+    Table paged("p", MixedSchema(),
+                std::make_unique<PagedRowStore>(&pool, kColumns, 4));
+    Table resident("r", MixedSchema(), std::make_unique<VectorRowStore>());
+    std::vector<RowId> live, dead;
+    RowId slots = 0;
+    int64_t next_id = 0;
+    uint64_t ts = 1;
+
+    // Empty (whole row) 30% of the time; otherwise 1-5 columns, repeats
+    // and any order allowed.
+    auto random_columns = [&] {
+      std::vector<int> columns;
+      if (rng.Chance(0.7)) {
+        const size_t n = 1 + rng.Uniform(kColumns);
+        for (size_t i = 0; i < n; ++i) {
+          columns.push_back(static_cast<int>(rng.Uniform(kColumns)));
+        }
+      }
+      return columns;
+    };
+    auto check_get = [&](RowId rid) {
+      const std::vector<int> columns = random_columns();
+      Row a, b;
+      const util::Status sa = paged.Get(rid, &a, columns);
+      const util::Status sb = resident.Get(rid, &b, columns);
+      ASSERT_EQ(sa.ok(), sb.ok()) << "rid " << rid;
+      if (!sa.ok()) return;
+      ASSERT_EQ(a.size(), columns.empty() ? kColumns : columns.size());
+      EXPECT_EQ(a, b) << "rid " << rid;
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].is_json(), b[i].is_json()) << "rid " << rid;
+      }
+    };
+    // Both tables scan alike with a random column list, and that scan is
+    // the whole-row scan cut down to those columns.
+    auto check_scan = [&] {
+      const std::vector<int> columns = random_columns();
+      const auto scanned = ScanAll(paged, columns);
+      ASSERT_EQ(scanned, ScanAll(resident, columns));
+      auto whole = ScanAll(resident);
+      ASSERT_EQ(scanned.size(), whole.size());
+      for (size_t i = 0; i < whole.size(); ++i) {
+        Row cut;
+        for (int c : columns) cut.push_back(whole[i].second[c]);
+        if (columns.empty()) cut = whole[i].second;
+        ASSERT_EQ(scanned[i].first, whole[i].first);
+        ASSERT_EQ(scanned[i].second, cut) << "rid " << whole[i].first;
+      }
+    };
+    // One mutation applied to both tables; `version_ts` != 0 logs it.
+    auto mutate = [&](uint64_t version_ts) {
+      const uint64_t op = rng.Uniform(10);
+      if (op < 4 || live.empty()) {
+        Row row = RandomMixedRow(&rng, next_id++);
+        auto ra = paged.Insert(row, version_ts);
+        auto rb = resident.Insert(std::move(row), version_ts);
+        ASSERT_TRUE(ra.ok() && rb.ok());
+        ASSERT_EQ(*ra, *rb);
+        ASSERT_EQ(*ra, slots++);
+        live.push_back(*ra);
+      } else if (op < 7) {
+        const RowId rid = live[rng.Uniform(live.size())];
+        Row row = RandomMixedRow(&rng, next_id++);
+        ASSERT_TRUE(paged.Update(rid, row, version_ts).ok());
+        ASSERT_TRUE(resident.Update(rid, std::move(row), version_ts).ok());
+      } else if (op < 9 || dead.empty() || version_ts != 0) {
+        // (RestoreRow is the unwind primitive itself and is not logged, so
+        // logged batches do not use it.)
+        const size_t i = rng.Uniform(live.size());
+        const RowId rid = live[i];
+        ASSERT_TRUE(paged.Delete(rid, version_ts).ok());
+        ASSERT_TRUE(resident.Delete(rid, version_ts).ok());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        dead.push_back(rid);
+      } else {
+        const size_t i = rng.Uniform(dead.size());
+        const RowId rid = dead[i];
+        Row row = RandomMixedRow(&rng, next_id++);
+        ASSERT_TRUE(paged.RestoreRow(rid, row).ok());
+        ASSERT_TRUE(resident.RestoreRow(rid, std::move(row)).ok());
+        dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(i));
+        live.push_back(rid);
+      }
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      if (rng.Chance(0.1)) {
+        // A logged batch, then either a commit-unwind or a trim.
+        const uint64_t batch_ts = ts++;
+        for (int k = 0; k < 3; ++k) {
+          ASSERT_NO_FATAL_FAILURE(mutate(batch_ts));
+        }
+        if (rng.Chance(0.5)) {
+          ASSERT_TRUE(paged.RevertVersionsAt(batch_ts).ok());
+          ASSERT_TRUE(resident.RevertVersionsAt(batch_ts).ok());
+          // An unwound insert leaves a tombstoned slot behind.
+          live.clear();
+          dead.clear();
+          for (RowId rid = 0; rid < slots; ++rid) {
+            (resident.IsLive(rid) ? live : dead).push_back(rid);
+          }
+        } else {
+          paged.TrimVersions(batch_ts);
+          resident.TrimVersions(batch_ts);
+        }
+      } else {
+        ASSERT_NO_FATAL_FAILURE(mutate(0));
+      }
+      for (int k = 0; k < 4; ++k) {
+        ASSERT_NO_FATAL_FAILURE(
+            check_get(static_cast<RowId>(rng.Uniform(slots + 2))));
+      }
+      if (step % 25 == 0) {
+        ASSERT_NO_FATAL_FAILURE(check_scan());
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(check_scan());
+    ASSERT_EQ(ScanAll(paged), ScanAll(resident));
+    ASSERT_EQ(paged.NumRows(), resident.NumRows());
+    for (RowId rid = 0; rid < slots; ++rid) {
+      ASSERT_NO_FATAL_FAILURE(check_get(rid));
+    }
+    EXPECT_GT(pool.evictions(), 0u);
+  }
 }
 
 // ------------------------------------------------------------ BufferPool --
